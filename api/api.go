@@ -4,16 +4,17 @@
 // machine-readable error envelope (Error), and the HTTP handlers serving
 // them under /v1.
 //
-// The package replaces the divergent muxes internal/engine and internal/live
-// used to expose — one route tree now serves both deployment shapes:
+// One route tree serves every deployment shape:
 //
-//	NewServer(engine, cfg)      read-only deployment over one prepared engine
-//	NewLiveServer(store, cfg)   mutable deployment over a live store
+//	NewServer(engine, cfg)                read-only, over one prepared engine
+//	NewLiveServer(store, cfg)             mutable, over a live store
+//	NewRouterServer(store, fanout, cfg)   a live store plus a shard fan-out
 //
-// Both mount the same /v1 endpoints (match, match/stream, graph, healthz,
-// metrics; the live variant adds update and queries) plus the pre-/v1
-// unversioned routes as thin deprecated aliases that answer identically and
-// emit a Deprecation header. Every route runs through one middleware
+// All mount the same /v1 endpoints (match, match/stream, graph, healthz,
+// metrics; the live variants add update and queries). A router's matches,
+// updates and health summary go through its Fanout (internal/shard), and
+// everything else — validation, middleware, flight recorder, tracing — is
+// the code a standalone node runs. Every route runs through one middleware
 // (metrics.go): request ids accepted or generated and echoed as
 // X-Request-Id, per-endpoint counters and latency histograms in the
 // process-wide internal/obs registry (rendered by GET /v1/metrics), panic

@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,7 +13,8 @@ import (
 )
 
 // The handlers over the mutable store: /v1/update and the /v1/queries
-// standing-query tree. They exist only on NewLiveServer deployments.
+// standing-query tree. They exist only on NewLiveServer and NewRouterServer
+// deployments.
 
 // toMutation validates one wire mutation and lowers it to the store's
 // form. i names the mutation in error messages.
@@ -70,18 +72,32 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if ri := reqInfo(r.Context()); ri != nil {
 		root = ri.root
 	}
-	res, err := s.store.ApplyTraced(muts, root)
+	var (
+		res      *live.UpdateResult
+		versions map[int]uint64
+		err      error
+	)
+	if s.fanout != nil {
+		res, versions, err = s.fanout.Update(r.Context(), muts, root)
+	} else {
+		res, err = s.store.ApplyTraced(muts, root)
+	}
 	if err != nil {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidMutation, "%v", err))
+		var aerr *Error
+		if !errors.As(err, &aerr) {
+			aerr = Errorf(http.StatusBadRequest, CodeInvalidMutation, "%v", err)
+		}
+		writeError(w, aerr)
 		return
 	}
 	writeJSON(w, http.StatusOK, UpdateResponse{
-		Version:    res.Version,
-		Nodes:      res.Nodes,
-		Edges:      res.Edges,
-		AddedNodes: res.AddedNodes,
-		Recomputed: res.Recomputed,
-		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
+		Version:       res.Version,
+		Nodes:         res.Nodes,
+		Edges:         res.Edges,
+		AddedNodes:    res.AddedNodes,
+		Recomputed:    res.Recomputed,
+		ShardVersions: versions,
+		ElapsedMS:     float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
 

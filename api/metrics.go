@@ -107,14 +107,19 @@ func (ri *requestInfo) setOutcome(outcome string) {
 }
 
 // generateNodeID mints the stable random node identifier a server reports
-// in /v1/healthz when Config.NodeID is unset. Stable for the server's
-// lifetime: withDefaults runs once, at construction.
-func generateNodeID() string {
+// in /v1/healthz when Config.NodeID is unset: "router-" plus random hex for
+// routers, "node-" for every other role. Stable for the server's lifetime:
+// withDefaults runs once, at construction.
+func generateNodeID(role string) string {
+	prefix := "node-"
+	if role == RoleRouter {
+		prefix = "router-"
+	}
 	var buf [4]byte
 	if _, err := rand.Read(buf[:]); err != nil {
-		return "node-unidentified"
+		return prefix + "unidentified"
 	}
-	return "node-" + hex.EncodeToString(buf[:])
+	return prefix + hex.EncodeToString(buf[:])
 }
 
 // requestID returns the client-supplied id when it is usable (printable

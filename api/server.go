@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/live"
@@ -65,13 +66,11 @@ type Config struct {
 	// probes can always tell two processes apart.
 	NodeID string
 	// Role names the deployment shape in /v1/healthz: RoleStandalone
-	// (default), RoleShard (a fleet member behind a router) or RoleRouter.
+	// (default), RoleShard (a fleet member behind a router) or RoleRouter
+	// (set by NewRouterServer). A shard answers unranked, unlimited
+	// /v1/match requests with every center's outcome, duplicates included,
+	// so the router's ownership merge is the only dedup.
 	Role string
-	// Tracer, when set together with EnableDebug, is used instead of a
-	// freshly constructed tracer. A fronting tier (cmd/strongsim-router)
-	// shares one tracer with its embedded server so fan-out spans and
-	// /v1/debug/traces read from the same kept ring.
-	Tracer *obs.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -84,11 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.NodeID == "" {
-		c.NodeID = generateNodeID()
-	}
 	if c.Role == "" {
 		c.Role = RoleStandalone
+	}
+	if c.NodeID == "" {
+		c.NodeID = generateNodeID(c.Role)
 	}
 	return c
 }
@@ -103,29 +102,7 @@ func NewServer(e *engine.Engine, cfg Config) http.Handler {
 		engine:  func() *engine.Engine { return e },
 		cfg:     cfg,
 		log:     cfg.AccessLog,
-		planner: plan.NewPlanner(plan.Config{}),
-	}
-	return s.routes()
-}
-
-// NewDynamicServer is NewServer over an engine *provider*: each request
-// resolves the engine once, up front, and is served entirely against that
-// engine. A mutable deployment hands in its latest-version lookup so
-// one-shot queries always answer against the newest published snapshot
-// while in-flight requests keep the consistent view they started with. The
-// provider must be safe for concurrent use and must never return nil.
-//
-// The planner runs pruning-only here: an arbitrary provider gives the
-// server no hook to observe mutations, so result caching would be unsound.
-// Deployments with an invalidation protocol (live stores) use NewLiveServer
-// and get the cache.
-func NewDynamicServer(provider func() *engine.Engine, cfg Config) http.Handler {
-	cfg = cfg.withDefaults()
-	s := &server{
-		engine:  provider,
-		cfg:     cfg,
-		log:     cfg.AccessLog,
-		planner: plan.NewPlanner(plan.Config{CacheEntries: -1}),
+		planner: plan.NewPlanner(),
 	}
 	return s.routes()
 }
@@ -136,8 +113,45 @@ func NewDynamicServer(provider func() *engine.Engine, cfg Config) http.Handler {
 // through the store's planner, whose result cache the store invalidates
 // surgically on every update batch.
 func NewLiveServer(st *live.Store, cfg Config) http.Handler {
+	return newLiveServer(st, nil, cfg)
+}
+
+// Fanout is the scatter/gather tier of a router deployment, implemented by
+// *shard.Router. The router's server is an ordinary live server over the
+// router's authoritative store — same middleware, flight recorder, tracer,
+// standing queries and error handling as a standalone node — that hands
+// only what a partitioned fleet does differently to its Fanout.
+type Fanout interface {
+	// Halo is the largest effective ball radius the fleet can answer;
+	// deeper matches are rejected with CodeHaloExceeded before fanning out.
+	Halo() int
+	// Match scatters a validated match request to every shard and gathers
+	// the merged result: distinct subgraphs in canonical order, summed
+	// stats, and a partial marker when shards failed and the request
+	// allows it. A request-level rejection is returned as an *Error; a
+	// dead ctx as ctx's error. span parents the per-shard call spans.
+	Match(ctx context.Context, req *MatchRequest, span obs.Span) (*core.Result, *PartialJSON, error)
+	// Update applies a validated batch to the authoritative store and
+	// forwards it to the shards, returning the store's result and the
+	// version each shard is now expected at. An *Error passes through;
+	// any other error answers invalid_mutation.
+	Update(ctx context.Context, muts []live.Mutation, span obs.Span) (*live.UpdateResult, map[int]uint64, error)
+	// Shards summarizes each shard's replicas for /v1/healthz.
+	Shards() []ShardHealthJSON
+}
+
+// NewRouterServer is NewLiveServer for a router deployment: st is the
+// router's authoritative store, which answers graph introspection and the
+// standing-query tree locally, while matches, updates and the health
+// summary go through fan. The role reported in /v1/healthz is RoleRouter.
+func NewRouterServer(st *live.Store, fan Fanout, cfg Config) http.Handler {
+	cfg.Role = RoleRouter
+	return newLiveServer(st, fan, cfg)
+}
+
+func newLiveServer(st *live.Store, fan Fanout, cfg Config) http.Handler {
 	cfg = cfg.withDefaults()
-	s := &server{engine: st.Engine, store: st, cfg: cfg, log: cfg.AccessLog,
+	s := &server{engine: st.Engine, store: st, fanout: fan, cfg: cfg, log: cfg.AccessLog,
 		planner: st.Planner()}
 	return s.routes()
 }
@@ -145,6 +159,7 @@ func NewLiveServer(st *live.Store, cfg Config) http.Handler {
 type server struct {
 	engine func() *engine.Engine
 	store  *live.Store // nil on read-only deployments
+	fanout Fanout      // non-nil on router deployments
 	cfg    Config
 	log    *slog.Logger // nil disables access logging
 	// flight records every in-flight and recently completed query when
@@ -156,14 +171,12 @@ type server struct {
 	// nil otherwise, and the serving path records nothing.
 	tracer *obs.Tracer
 	// planner is handed to every match query unless the request opts out
-	// with "no_plan": true. Pruning-only on dynamic-provider deployments
-	// (see NewDynamicServer), full caching on immutable and live ones.
+	// with "no_plan": true.
 	planner *plan.Planner
 }
 
-// routes builds the unified route tree: the /v1 endpoints plus the
-// unversioned legacy aliases (see legacy.go). Every route passes through
-// the instrumentation middleware (metrics.go); /debug/pprof does not.
+// routes builds the /v1 route tree. Every route passes through the
+// instrumentation middleware (metrics.go); /debug/pprof does not.
 func (s *server) routes() http.Handler {
 	registerProcessMetrics()
 	if s.cfg.EnableDebug {
@@ -171,14 +184,11 @@ func (s *server) routes() http.Handler {
 			SlowThreshold: s.cfg.SlowQueryThreshold,
 			Log:           s.cfg.AccessLog,
 		})
-		s.tracer = s.cfg.Tracer
-		if s.tracer == nil {
-			s.tracer = obs.NewTracer(obs.TraceConfig{
-				SampleRate:    s.cfg.TraceSampleRate,
-				SlowThreshold: s.cfg.SlowQueryThreshold,
-				Log:           s.cfg.AccessLog,
-			})
-		}
+		s.tracer = obs.NewTracer(obs.TraceConfig{
+			SampleRate:    s.cfg.TraceSampleRate,
+			SlowThreshold: s.cfg.SlowQueryThreshold,
+			Log:           s.cfg.AccessLog,
+		})
 	}
 	rt := newRouter()
 	s.route(rt, "GET", Prefix+"/healthz", s.handleHealth)
@@ -220,7 +230,6 @@ func (s *server) routes() http.Handler {
 				"%s does not allow %s (allowed: %s)", r.URL.Path, r.Method, allow))
 		}
 	}
-	s.legacyRoutes(rt)
 	if s.cfg.EnablePprof {
 		mountPprof(rt)
 	}
@@ -413,6 +422,14 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h.Nodes = g.NumNodes()
 	h.Edges = g.NumEdges()
 	h.Labels = g.Labels().Len()
+	if s.fanout != nil {
+		h.Shards = s.fanout.Shards()
+		for _, sh := range h.Shards {
+			if sh.Serving == 0 {
+				h.Status = "degraded"
+			}
+		}
+	}
 	writeJSON(w, http.StatusOK, h)
 }
 
@@ -440,46 +457,119 @@ func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// compileMatch resolves and validates a match request against the engine
+// it will run on. Streams and router deployments also check connectivity
+// up front: engine.Stream reports pattern errors only after the 200 is
+// committed, and a router must not fan out what no shard can answer — nor
+// a ball deeper than its halo.
+func (s *server) compileMatch(e *engine.Engine, req *MatchRequest, stream bool) (*graph.Graph, engine.QueryOptions, core.Metric, *Error) {
+	var opts engine.QueryOptions
+	q, aerr := resolvePattern(e, req)
+	if aerr != nil {
+		return nil, opts, nil, aerr
+	}
+	if stream && req.Query.TopK != 0 {
+		return nil, opts, nil, Errorf(http.StatusBadRequest, CodeInvalidQuery,
+			"top_k is not supported on %s/match/stream: ranking needs the full result set", Prefix)
+	}
+	opts, metric, err := req.Query.Compile()
+	if err != nil {
+		return nil, opts, nil, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err)
+	}
+	if !req.Query.NoPlan {
+		opts.Planner = s.planner // streams prune only: they bypass the cache
+	}
+	if !stream && s.fanout == nil {
+		return q, opts, metric, nil
+	}
+	dq, connected := graph.Diameter(q)
+	if !connected {
+		return nil, opts, nil, Errorf(http.StatusBadRequest, CodeInvalidPattern,
+			"pattern graph must be connected (Section 2.1)")
+	}
+	if s.fanout != nil {
+		eff := req.Query.Radius
+		if eff == 0 {
+			eff = dq
+		}
+		if eff > s.fanout.Halo() {
+			return nil, opts, nil, Errorf(http.StatusBadRequest, CodeHaloExceeded,
+				"effective ball radius %d exceeds the halo replication depth %d: "+
+					"lower the radius or redeploy with a deeper halo", eff, s.fanout.Halo())
+		}
+	}
+	return q, opts, metric, nil
+}
+
+// gather runs a router deployment's scatter/gather match, cutting the
+// merged result to the request's limit.
+func (s *server) gather(ctx context.Context, r *http.Request, req *MatchRequest) (*core.Result, *PartialJSON, *Error) {
+	var root obs.Span
+	if ri := reqInfo(r.Context()); ri != nil {
+		root = ri.root
+	}
+	res, partial, err := s.fanout.Match(ctx, req, root)
+	if err != nil {
+		var aerr *Error
+		if errors.As(err, &aerr) {
+			return nil, nil, aerr
+		}
+		return nil, nil, matchError(err)
+	}
+	if req.Query.Limit > 0 && len(res.Subgraphs) > req.Query.Limit {
+		res.Subgraphs = res.Subgraphs[:req.Query.Limit]
+	}
+	return res, partial, nil
+}
+
 func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req MatchRequest
 	if aerr := s.decode(w, r, &req, false); aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	s.serveMatch(w, r, &req)
-}
-
-// serveMatch answers a resolved match request; the legacy /match alias
-// funnels through here too, so both routes answer byte-identically.
-func (s *server) serveMatch(w http.ResponseWriter, r *http.Request, req *MatchRequest) {
 	e := s.engine() // one resolution: the whole request sees one version
-	q, aerr := resolvePattern(e, req)
+	q, opts, metric, aerr := s.compileMatch(e, &req, false)
 	if aerr != nil {
 		writeError(w, aerr)
 		return
 	}
-	opts, metric, err := req.Query.Compile()
-	if err != nil {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err))
-		return
-	}
-	if !req.Query.NoPlan {
-		opts.Planner = s.planner
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.Query.DeadlineMS))
 	defer cancel()
 	trace := s.trace(r, &opts, req.Query.Stats)
-	fl := s.flightStart(r, "match", matchDigest(req), cancel, trace)
+	fl := s.flightStart(r, "match", matchDigest(&req), cancel, trace)
 
 	start := time.Now()
-	var resp MatchResponse
-	if req.Query.TopK > 0 {
-		ranked, stats, err := e.MatchTopK(ctx, q, req.Query.TopK, metric, opts)
-		if err != nil {
-			s.failFlight(w, fl, matchError(err))
+	var (
+		resp   MatchResponse
+		res    *core.Result
+		ranked []core.Ranked
+		err    error
+	)
+	switch {
+	case s.fanout != nil:
+		res, resp.Partial, aerr = s.gather(ctx, r, &req)
+		if aerr != nil {
+			s.failFlight(w, fl, aerr)
 			return
 		}
-		resp.Stats = FromStats(stats)
+		if req.Query.TopK > 0 {
+			ranked = res.TopK(q, e.Snapshot().Graph(), req.Query.TopK, metric)
+		}
+	case req.Query.TopK > 0:
+		res = new(core.Result)
+		ranked, res.Stats, err = e.MatchTopK(ctx, q, req.Query.TopK, metric, opts)
+	case s.cfg.Role == RoleShard && req.Query.Limit == 0:
+		res, err = e.MatchOutcomes(ctx, q, opts)
+	default:
+		res, err = e.Match(ctx, q, opts)
+	}
+	if err != nil {
+		s.failFlight(w, fl, matchError(err))
+		return
+	}
+	resp.Stats = FromStats(res.Stats)
+	if req.Query.TopK > 0 {
 		resp.Matches = make([]SubgraphJSON, 0, len(ranked))
 		for _, rk := range ranked {
 			sj := FromSubgraph(rk.PerfectSubgraph)
@@ -488,18 +578,13 @@ func (s *server) serveMatch(w http.ResponseWriter, r *http.Request, req *MatchRe
 			resp.Matches = append(resp.Matches, sj)
 		}
 	} else {
-		res, err := e.Match(ctx, q, opts)
-		if err != nil {
-			s.failFlight(w, fl, matchError(err))
-			return
-		}
-		resp.Stats = FromStats(res.Stats)
 		resp.Matches = FromSubgraphs(res.Subgraphs)
 	}
 	// query_stats stays opt-in: the flight recorder may have forced a trace,
 	// but only "stats": true puts it on the wire — a recorder-on response is
-	// byte-identical to a recorder-off one.
-	if req.Query.Stats && trace != nil {
+	// byte-identical to a recorder-off one. The engine fills the trace, so a
+	// router (which runs none) reports no query_stats.
+	if req.Query.Stats && trace != nil && s.fanout == nil {
 		resp.QueryStats = FromQueryStats(trace)
 	}
 	fl.Finish(obs.OutcomeOK, "", len(resp.Matches))
@@ -508,6 +593,11 @@ func (s *server) serveMatch(w http.ResponseWriter, r *http.Request, req *MatchRe
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleMatchStream serves matches as NDJSON. A single node streams them
+// as workers finish balls. A router gathers the merged fan-out first —
+// shard-side streams would dedup in arrival order, losing subgraphs the
+// ownership merge needs — and so can still answer a clean error status
+// before committing the 200.
 func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	var req MatchRequest
 	if aerr := s.decode(w, r, &req, false); aerr != nil {
@@ -515,29 +605,9 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := s.engine()
-	q, aerr := resolvePattern(e, &req)
+	q, opts, _, aerr := s.compileMatch(e, &req, true)
 	if aerr != nil {
 		writeError(w, aerr)
-		return
-	}
-	if req.Query.TopK != 0 {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidQuery,
-			"top_k is not supported on %s/match/stream: ranking needs the full result set", Prefix))
-		return
-	}
-	opts, _, err := req.Query.Compile()
-	if err != nil {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidQuery, "%v", err))
-		return
-	}
-	if !req.Query.NoPlan {
-		opts.Planner = s.planner // pruning only: streaming bypasses the cache
-	}
-	// Validate connectivity before committing the 200: engine.Stream only
-	// reports pattern errors through Wait, after headers are long gone.
-	if _, connected := graph.Diameter(q); !connected {
-		writeError(w, Errorf(http.StatusBadRequest, CodeInvalidPattern,
-			"pattern graph must be connected (Section 2.1)"))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.Query.DeadlineMS))
@@ -545,45 +615,66 @@ func (s *server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	trace := s.trace(r, &opts, req.Query.Stats)
 	fl := s.flightStart(r, "stream", matchDigest(&req), cancel, trace)
 
+	start := time.Now()
+	var done StreamDoneJSON
+	var gathered *core.Result
+	if s.fanout != nil {
+		if gathered, done.Partial, aerr = s.gather(ctx, r, &req); aerr != nil {
+			s.failFlight(w, fl, aerr)
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-
-	start := time.Now()
-	st := e.Stream(ctx, q, opts)
-	count := 0
-	for ps := range st.C {
+	send := func(ps *core.PerfectSubgraph) bool {
 		sj := FromSubgraph(ps)
 		if err := enc.Encode(StreamEventJSON{Match: &sj}); err != nil {
-			cancel() // writer gone: stop the query, drain via Wait
-			break
+			return false
 		}
-		count++
+		done.Matches++
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return true
 	}
-	stats, err := st.Wait()
-	done := StreamDoneJSON{
-		Matches:   count,
-		Stats:     FromStats(stats),
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+
+	var stats core.Stats
+	var err error
+	if gathered != nil {
+		for _, ps := range gathered.Subgraphs {
+			if !send(ps) {
+				break
+			}
+		}
+		stats = gathered.Stats
+	} else {
+		st := e.Stream(ctx, q, opts)
+		for ps := range st.C {
+			if !send(ps) {
+				cancel() // writer gone: stop the query, drain via Wait
+				break
+			}
+		}
+		stats, err = st.Wait()
 	}
+	done.Stats = FromStats(stats)
+	done.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	// The 200 committed before the query ran, so the access log's status
 	// cannot tell how the stream ended; the outcome annotation does.
 	info := reqInfo(r.Context())
-	info.setMatches(count)
+	info.setMatches(done.Matches)
 	if err != nil {
 		aerr := matchError(err)
 		done.Code, done.Error = aerr.Code, aerr.Message
 		info.setOutcome(outcomeForCode(aerr.Code))
-		fl.Finish(outcomeForCode(aerr.Code), aerr.Message, count)
+		fl.Finish(outcomeForCode(aerr.Code), aerr.Message, done.Matches)
 	} else {
 		info.setOutcome("ok")
-		fl.Finish(obs.OutcomeOK, "", count)
+		fl.Finish(obs.OutcomeOK, "", done.Matches)
 	}
-	if req.Query.Stats && trace != nil {
+	if req.Query.Stats && trace != nil && s.fanout == nil {
 		done.QueryStats = FromQueryStats(trace)
 	}
 	_ = enc.Encode(StreamEventJSON{Done: &done})

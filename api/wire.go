@@ -19,9 +19,8 @@ type MatchRequest struct {
 	Query QuerySpec `json:"query,omitempty"`
 }
 
-// MatchResponse is the JSON body answering POST /v1/match (and the legacy
-// /match alias, byte-identically). QueryStats is present exactly when the
-// request set "stats": true. Partial is present only on router deployments
+// MatchResponse is the JSON body answering POST /v1/match. QueryStats is
+// present exactly when the request set "stats": true (never on routers). Partial is present only on router deployments
 // and only when the request set "allow_partial": true and at least one shard
 // was unavailable — the matches are then complete except for centers owned
 // by the failed shards.

@@ -15,7 +15,9 @@
 //
 //   - api: the versioned /v1 wire protocol — the structured pattern schema
 //     (PatternJSON), the unified QuerySpec, structured {code, error}
-//     failures, and the HTTP route tree over engine or store (see API.md)
+//     failures, and the one HTTP route tree — over an engine, a live
+//     store, or (for strongsim-router) a live store plus the shard fan-out
+//     (see API.md)
 //   - client: the typed Go SDK for /v1 — Match, MatchStream, TopK, Update,
 //     RegisterStandingQuery, PollDelta — with context deadlines and
 //     structured-error decoding
@@ -30,8 +32,8 @@
 //     ball providers, evaluators and sinks, context cancellation,
 //     early exit, and a per-worker scratch arena (ball buffers + dual
 //     simulation state, reset between centers) so the hot path does not
-//     allocate per ball; core, engine, live, approx, regexsim,
-//     incremental and distributed all schedule through it
+//     allocate per ball; core, engine, live, approx, incremental and
+//     distributed all schedule through it
 //   - internal/engine: the serving layer — prepared snapshots (frozen
 //     labels, candidate centers, cached balls), a concurrent query engine
 //     with worker-pool ball evaluation, context cancellation, streaming,
@@ -46,13 +48,16 @@
 //     YouTube-like dataset stand-ins, pattern sampling
 //   - internal/distributed: Section 4.3 partitioned evaluation with
 //     byte-counted traffic
+//   - internal/shard: Section 4.3 locality as a serving tier — partition
+//     plans with dQ-hop halos, subgraph push, and the scatter/gather
+//     Router behind cmd/strongsim-router
 //   - internal/incremental: Section 6 future work — single-pattern
 //     ball-local maintenance; exports the dirty-center BFS internal/live
 //     generalizes
 //   - internal/experiments: drivers regenerating every table and figure
 //   - examples/, cmd/: runnable entry points — cmd/strongsim (one-shot
-//     CLI), cmd/strongsimd (HTTP/JSON matching server), cmd/experiments,
-//     cmd/gengraph
+//     CLI), cmd/strongsimd (HTTP/JSON matching server),
+//     cmd/strongsim-router (sharded serving), cmd/experiments, cmd/gengraph
 //
 // # Serving quickstart
 //
@@ -73,8 +78,7 @@
 // perfect subgraphs as JSON; POST /v1/match/stream delivers them as NDJSON
 // while balls complete; GET /v1/graph describes the loaded data graph.
 // Failures carry machine-readable codes ({"code","error"}) the client
-// decodes into *api.Error. The pre-/v1 routes remain as deprecated
-// aliases. See API.md for the endpoint reference; examples/server runs the
+// decodes into *api.Error. See API.md for the endpoint reference; examples/server runs the
 // same loop self-contained, and internal/engine documents the embedded API
 // (engine.New, Engine.Match, Engine.Stream, Engine.MatchBatch).
 //

@@ -337,9 +337,26 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 	if opts.Limit > 0 {
 		return e.matchLimited(ctx, q, opts)
 	}
+	return e.match(ctx, q, opts, false)
+}
+
+// MatchOutcomes is Match without the cross-center dedup: the maximum
+// perfect subgraph of every center whose ball matched, in ascending center
+// order, duplicates included (Stats.Duplicates stays 0). A shard of a
+// partitioned deployment answers with it, so the router's ownership merge
+// is the only dedup — a halo center whose ball the shard sees cut at the
+// halo edge must never win a duplicate over an owned center. opts.Limit is
+// ignored.
+func (e *Engine) MatchOutcomes(ctx context.Context, q *graph.Graph, opts QueryOptions) (*core.Result, error) {
+	return e.match(ctx, q, opts, true)
+}
+
+// match is the collected execution of Match and MatchOutcomes; all skips
+// the dedup and returns every per-center outcome.
+func (e *Engine) match(ctx context.Context, q *graph.Graph, opts QueryOptions, all bool) (*core.Result, error) {
 	cc := e.planLookup(q, opts) // nil when the query cannot use the cache
 	if cc != nil && cc.hit != nil {
-		return e.serveHit(cc, opts.Trace), nil
+		return e.serveHit(cc, opts.Trace, all), nil
 	}
 	p, err := e.prepare(ctx, q, opts)
 	if err != nil {
@@ -387,7 +404,17 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 	tr.EnterStage(obs.StageMerge)
 	mergeSp := tr.StartSpan("merge")
 
-	if cc == nil {
+	switch {
+	case cc == nil && all:
+		for _, ps := range out {
+			if ps != nil {
+				if opts.MinimizeQuery {
+					core.ExpandRelation(ps, q, p.classOf)
+				}
+				res.Subgraphs = append(res.Subgraphs, ps)
+			}
+		}
+	case cc == nil:
 		res.Subgraphs = core.DedupSubgraphs(out, &res.Stats)
 		core.SortSubgraphs(res.Subgraphs)
 		if opts.MinimizeQuery {
@@ -395,7 +422,7 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 				core.ExpandRelation(ps, q, p.classOf)
 			}
 		}
-	} else {
+	default:
 		// Cached path: the cache stores pre-dedup per-center outcomes —
 		// later repairs can promote a duplicate to a survivor — so every
 		// outcome is expanded before assembly, not just the survivors.
@@ -409,9 +436,13 @@ func (e *Engine) Match(ctx context.Context, q *graph.Graph, opts QueryOptions) (
 			}
 		}
 		centers, outcomes := cc.merge(p.centers, out)
+		stats := res.Stats
 		res.Subgraphs = core.DedupSubgraphs(outcomes, &res.Stats)
 		core.SortSubgraphs(res.Subgraphs)
 		cc.store(e, q, centers, outcomes, res)
+		if all {
+			res = &core.Result{Subgraphs: outcomes, Stats: stats}
+		}
 	}
 	if tr != nil {
 		tr.Merge = time.Since(mergeStart)

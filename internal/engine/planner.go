@@ -14,7 +14,7 @@ import (
 // either a clean entry to serve directly (hit), the center restriction plus
 // retained outcomes of a repair (refresh), or the center restriction of a
 // containment hit. nil when the query cannot use the cache (no planner,
-// cache disabled, Limit set, invalid pattern).
+// Limit set, invalid pattern).
 type cacheCtx struct {
 	cache   *plan.Cache
 	key     string
@@ -122,19 +122,26 @@ func (cc *cacheCtx) mapTo(c *plan.Cached) ([]int32, bool) {
 // serveHit answers a clean cache hit in O(result): shared subgraphs when
 // the query's numbering equals the cached pattern's, otherwise one fresh
 // PerfectSubgraph per match with the relation keys translated (node and
-// edge slices are always shared — they are data-side and read-only).
-func (e *Engine) serveHit(cc *cacheCtx, tr *obs.QueryStats) *core.Result {
+// edge slices are always shared — they are data-side and read-only). all
+// serves the entry's pre-dedup per-center outcomes instead of its
+// assembled result (see MatchOutcomes).
+func (e *Engine) serveHit(cc *cacheCtx, tr *obs.QueryStats, all bool) *core.Result {
 	tr.EnterStage(obs.StageMerge) // nil-safe
 	sp := tr.StartSpan("plan.hit")
 	start := time.Now()
 	hit := cc.hit
 	mapTo, identity := cc.mapTo(hit)
 	res := &core.Result{Stats: hit.Result.Stats}
+	subs := hit.Result.Subgraphs
+	if all {
+		subs = hit.Outcomes
+		res.Stats.Duplicates = 0
+	}
 	if identity {
-		res.Subgraphs = hit.Result.Subgraphs
+		res.Subgraphs = subs
 	} else {
-		res.Subgraphs = make([]*core.PerfectSubgraph, 0, len(hit.Result.Subgraphs))
-		for _, ps := range hit.Result.Subgraphs {
+		res.Subgraphs = make([]*core.PerfectSubgraph, 0, len(subs))
+		for _, ps := range subs {
 			res.Subgraphs = append(res.Subgraphs, remapSubgraph(ps, mapTo))
 		}
 	}

@@ -49,7 +49,7 @@ func TestPlannerParityProperty(t *testing.T) {
 					{"plus", func() QueryOptions { o := PlusQuery(); o.Radius = radius; return o }()},
 				} {
 					want := mustMatch(t, e, q, mode.opts)
-					p := plan.NewPlanner(plan.Config{})
+					p := plan.NewPlanner()
 
 					var tr1 obs.QueryStats
 					miss := mustMatch(t, e, q, planned(mode.opts, p, &tr1))
@@ -101,7 +101,7 @@ edge d6 d2
 	q1 := graph.MustParse("node a A\nnode b B\nnode c C\nedge a b\nedge b c", labels)
 	q2 := graph.MustParse("node c C\nnode b B\nnode a A\nedge a b\nedge b c", labels)
 
-	p := plan.NewPlanner(plan.Config{})
+	p := plan.NewPlanner()
 	mustMatch(t, e, q1, planned(QueryOptions{}, p, nil))
 
 	want := mustMatch(t, e, q2, QueryOptions{})
@@ -149,7 +149,7 @@ edge d7 d5
 		{"plain", QueryOptions{}},
 		{"plus", PlusQuery()},
 	} {
-		p := plan.NewPlanner(plan.Config{})
+		p := plan.NewPlanner()
 		var trBig obs.QueryStats
 		// Pin both executions to the same radius: containment requires the
 		// cached radius to subsume the query's, and the two diameters differ.
@@ -198,7 +198,7 @@ func TestPlannerRefreshParity(t *testing.T) {
 		}(),
 	}
 	for i, dirty := range dirtySets {
-		p := plan.NewPlanner(plan.Config{})
+		p := plan.NewPlanner()
 		e.Snapshot().SetVersion(1)
 		mustMatch(t, e, q, planned(QueryOptions{}, p, nil))
 
@@ -230,7 +230,7 @@ func TestPlannerRefreshParity(t *testing.T) {
 
 	// Dirtying more than half the graph makes repair pointless: the cache
 	// drops the entry and the next planned query is an honest miss.
-	p := plan.NewPlanner(plan.Config{})
+	p := plan.NewPlanner()
 	e.Snapshot().SetVersion(1)
 	mustMatch(t, e, q, planned(QueryOptions{}, p, nil))
 	all := make([]int32, g.NumNodes())
@@ -257,7 +257,7 @@ func TestPlannerEmptyResultCached(t *testing.T) {
 	q := graph.MustParse("node a A\nnode b B\nnode c C\nedge a b\nedge b c", labels)
 	e := New(g, Config{Workers: 1})
 
-	p := plan.NewPlanner(plan.Config{})
+	p := plan.NewPlanner()
 	opts := PlusQuery() // dual filter proves Q ⊀D G before any ball
 	first := mustMatch(t, e, q, planned(opts, p, nil))
 	if len(first.Subgraphs) != 0 {
@@ -297,7 +297,7 @@ func TestPlannerAllocs(t *testing.T) {
 
 	// Warm snapshot-level lazies (label index, prune index, ball arenas) so
 	// they don't bill the measured runs.
-	warmPlanner := plan.NewPlanner(plan.Config{})
+	warmPlanner := plan.NewPlanner()
 	for i := 0; i < 50; i++ {
 		run(opts)
 		run(planned(opts, warmPlanner, nil))
@@ -305,12 +305,12 @@ func TestPlannerAllocs(t *testing.T) {
 
 	base := testing.AllocsPerRun(100, func() { run(opts) })
 
-	hitPlanner := plan.NewPlanner(plan.Config{})
+	hitPlanner := plan.NewPlanner()
 	run(planned(opts, hitPlanner, nil))
 	hit := testing.AllocsPerRun(100, func() { run(planned(opts, hitPlanner, nil)) })
 
 	miss := testing.AllocsPerRun(100, func() {
-		run(planned(opts, plan.NewPlanner(plan.Config{}), nil))
+		run(planned(opts, plan.NewPlanner(), nil))
 	})
 
 	t.Logf("allocs/op: base=%.0f miss=%.0f hit=%.0f", base, miss, hit)
@@ -328,5 +328,76 @@ func TestPlannerAllocs(t *testing.T) {
 	// per-ball regression.
 	if miss > base+150 {
 		t.Errorf("cache miss allocates %.0f/op vs %.0f planner-off — per-ball overhead crept in", miss, base)
+	}
+}
+
+// TestMatchOutcomesParity: MatchOutcomes returns every per-center outcome,
+// ascending by center, and deduplicating them reproduces Match exactly — on
+// the unplanned path, a cache miss, a hit on an entry Match stored, and an
+// isomorphic (renumbered) hit.
+func TestMatchOutcomesParity(t *testing.T) {
+	ctx := context.Background()
+	duplicates := 0
+	for _, seed := range []int64{3, 11, 29} {
+		q, g := testWorkload(t, 300, seed)
+		// The same pattern under reversed node numbering: equal canonical
+		// key, different relation keys.
+		b := graph.NewBuilder(q.Labels())
+		last := int32(q.NumNodes() - 1)
+		for u := last; u >= 0; u-- {
+			b.AddNode(q.LabelName(u))
+		}
+		q.Edges(func(u, v int32) {
+			if err := b.AddEdge(last-u, last-v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		qRev := b.Build()
+		e := New(g, Config{Workers: 2})
+		for _, mode := range []struct {
+			name string
+			opts QueryOptions
+		}{{"plain", QueryOptions{}}, {"plus", PlusQuery()}} {
+			p := plan.NewPlanner()
+			check := func(label string, pat *graph.Graph, opts QueryOptions, outcome string) {
+				t.Helper()
+				want := mustMatch(t, e, pat, QueryOptions{MinimizeQuery: opts.MinimizeQuery,
+					DualFilter: opts.DualFilter, ConnectivityPruning: opts.ConnectivityPruning})
+				var tr obs.QueryStats
+				if opts.Planner != nil {
+					opts.Trace = &tr
+				}
+				res, err := e.MatchOutcomes(ctx, pat, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.PlanCacheOutcome != outcome {
+					t.Fatalf("seed %d %s %s: cache outcome %q, want %q", seed, mode.name, label, tr.PlanCacheOutcome, outcome)
+				}
+				for i := 1; i < len(res.Subgraphs); i++ {
+					if res.Subgraphs[i-1].Center >= res.Subgraphs[i].Center {
+						t.Fatalf("seed %d %s %s: outcomes not ascending by center", seed, mode.name, label)
+					}
+				}
+				var st core.Stats
+				got := core.DedupSubgraphs(res.Subgraphs, &st)
+				core.SortSubgraphs(got)
+				if !reflect.DeepEqual(want.Subgraphs, got) {
+					t.Fatalf("seed %d %s %s: deduplicated outcomes differ from Match", seed, mode.name, label)
+				}
+				if res.Stats.Duplicates != 0 || st.Duplicates != want.Stats.Duplicates {
+					t.Fatalf("seed %d %s %s: duplicates %d (dedup found %d), Match discarded %d",
+						seed, mode.name, label, res.Stats.Duplicates, st.Duplicates, want.Stats.Duplicates)
+				}
+				duplicates += st.Duplicates
+			}
+			check("unplanned", q, mode.opts, "")
+			check("miss", q, planned(mode.opts, p, nil), plan.OutcomeMiss)
+			check("hit", q, planned(mode.opts, p, nil), plan.OutcomeHit)
+			check("renumbered hit", qRev, planned(mode.opts, p, nil), plan.OutcomeHit)
+		}
+	}
+	if duplicates == 0 {
+		t.Fatal("no workload produced duplicate outcomes; the undeduplicated path went unchecked")
 	}
 }

@@ -4,7 +4,7 @@
 // center" (paper Section 4.1). Before this package, four independent
 // implementations of that loop existed — core.MatchWith, the engine's
 // evalCenters and batch groups, and the sequential sweeps of incremental,
-// distributed, approx and regexsim — each allocating a fresh ball plus
+// distributed and approx — each allocating a fresh ball plus
 // simulation state per center. exec consolidates them: one pool with context
 // cancellation and early exit, driving pluggable per-position evaluators,
 // with a reusable per-worker Scratch so the hot path stops allocating per

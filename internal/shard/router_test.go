@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -676,5 +677,165 @@ func TestRouterRejectsUnderflowedPlans(t *testing.T) {
 		Shards: [][]string{{"http://s0"}, {}},
 	}); err == nil {
 		t.Fatal("replica-less shard must be rejected")
+	}
+}
+
+// TestRouterMatchesSingleNodeProperty sweeps generated graphs, fleet sizes
+// and sampled patterns, requiring router answers byte-identical to a single
+// node. It pins the halo dedup rule: a shard sees the balls of its halo
+// centers cut at the halo edge, so if it deduped across centers, such a
+// halo center could win a duplicate over an owned center and the router's
+// ownership filter would drop the subgraph.
+func TestRouterMatchesSingleNodeProperty(t *testing.T) {
+	total := 0
+	for _, n := range []int{100, 200} {
+		for seed := int64(1); seed <= 6; seed++ {
+			for _, k := range []int{2, 3} {
+				f := newFleet(t, buildSynthetic(n, seed), k, 2, nil)
+				g := generator.Synthetic(n, 1.2, 5, seed)
+				for ps := int64(1); ps <= 8; ps++ {
+					pat := graph.FormatString(generator.SamplePattern(g, generator.PatternOptions{
+						Nodes: 3, Alpha: 1.1, Seed: ps,
+					}))
+					for _, mode := range []string{api.ModePlain, api.ModePlus} {
+						total += f.assertIdentical(t, pat, api.QuerySpec{Mode: mode},
+							fmt.Sprintf("n=%d seed=%d k=%d %s pattern seed %d", n, seed, k, mode, ps))
+					}
+				}
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("sampled patterns never matched; the property was vacuous")
+	}
+}
+
+// gateTransport holds every shard /v1/match call until gate closes or the
+// call's context ends, so a router match stays in flight on demand.
+type gateTransport struct{ gate chan struct{} }
+
+func (t gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, api.Prefix+"/match") {
+		select {
+		case <-t.gate:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterMatchInFlightRecorder pins that router matches run through the
+// same flight recorder as a standalone node: an in-flight fan-out is listed
+// and cancellable by request id (the caller sees 408 cancelled, and the
+// cancellation ejects no replica), and completed matches land in the recent
+// ring under the client's X-Request-Id.
+func TestRouterMatchInFlightRecorder(t *testing.T) {
+	g := generator.Synthetic(60, 1.2, 5, 29)
+	plan, err := BuildPlan(g, 2, 2, StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	rt, err := NewRouter(live.NewStore(g, live.Config{Workers: 2}), Config{
+		Plan:          plan,
+		Shards:        [][]string{{newShard(t).URL}, {newShard(t).URL}},
+		ShardTimeout:  5 * time.Second,
+		Retry:         testRetry(),
+		ProbeInterval: time.Hour,
+		HTTPClient:    &http.Client{Transport: gateTransport{gate: gate}},
+		API:           api.Config{EnableDebug: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := rt.Push(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	rc := client.New(rts.URL)
+	pat := testPatterns(g)[0]
+	spec := api.QuerySpec{Mode: api.ModePlus}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := rc.MatchText(client.WithRequestID(ctx, "router-held"), pat, spec)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		active, err := rc.ActiveQueries(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(active) == 1 && active[0].RequestID == "router-held" && active[0].Kind == "match" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("held router match never listed in flight: %+v", active)
+		}
+	}
+	if err := rc.CancelQuery(ctx, "router-held"); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	var aerr *api.Error
+	if err := <-errc; !errors.As(err, &aerr) || aerr.Status != http.StatusRequestTimeout || aerr.Code != api.CodeCancelled {
+		t.Fatalf("cancelled router match answered %v, want 408 %s", err, api.CodeCancelled)
+	}
+	for s, reps := range rt.shards {
+		for ri, rep := range reps {
+			if !rep.available() {
+				t.Fatalf("shard %d replica %d ejected by an operator cancel (%s)", s, ri, rep.note)
+			}
+		}
+	}
+
+	close(gate)
+	resp, err := rc.MatchText(client.WithRequestID(ctx, "router-done"), pat, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recent, err := rc.RecentQueries(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes := map[string]api.QueryRecordJSON{}
+	for _, rec := range recent {
+		outcomes[rec.RequestID] = rec
+	}
+	if rec := outcomes["router-held"]; rec.Outcome != "cancelled" {
+		t.Fatalf("cancelled match recorded as %+v", rec)
+	}
+	if rec := outcomes["router-done"]; rec.Outcome != "ok" || rec.Kind != "match" || rec.Matches != len(resp.Matches) {
+		t.Fatalf("completed match recorded as %+v, want ok with %d matches", rec, len(resp.Matches))
+	}
+}
+
+// TestRouterPushRequiresShardRole pins that a fleet member not started as
+// a shard is refused at push: only a shard-role server answers
+// undeduplicated, and any other would silently lose subgraphs in the merge.
+func TestRouterPushRequiresShardRole(t *testing.T) {
+	g := generator.Synthetic(30, 1.2, 4, 31)
+	plan, err := BuildPlan(g, 1, 2, StrategyBFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := graph.ParseString("", graph.NewLabels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	standalone := httptest.NewServer(api.NewLiveServer(live.NewStore(empty, live.Config{}), api.Config{}))
+	t.Cleanup(standalone.Close)
+	rt, err := NewRouter(live.NewStore(g, live.Config{}), Config{
+		Plan:   plan,
+		Shards: [][]string{{standalone.URL}},
+		Retry:  testRetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Push(context.Background()); err == nil || !strings.Contains(err.Error(), api.RoleShard) {
+		t.Fatalf("push to a standalone-role server: %v, want a role error", err)
 	}
 }
